@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race verify cover bench bench-smoke obs-smoke serve-smoke shard-smoke plan-smoke experiments fuzz clean
+.PHONY: all build vet test test-short race verify cover bench bench-smoke obs-smoke serve-smoke shard-smoke plan-smoke e2e-test experiments fuzz clean
 
 all: build vet test
 
@@ -103,6 +103,12 @@ shard-smoke:
 	@t=$$(mktemp -d) && cp BENCH_serve.json $$t/ 2>/dev/null; \
 	$(GO) build -o $$t/dlbench ./cmd/dlbench && (cd $$t && ./dlbench -experiment q11 -quick); \
 	rc=$$?; rm -rf $$t; exit $$rc
+
+# The end-to-end benchmark is a nested module (e2ebench/go.mod), so
+# `go test ./...` at the root never reaches it: run its generator,
+# percentile and reference-answer tests explicitly.
+e2e-test:
+	cd e2ebench && $(GO) test .
 
 # Regenerate the full experiment report (paper claim vs measured).
 experiments:

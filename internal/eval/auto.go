@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/classify"
+	"repro/internal/obs"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
 )
@@ -116,6 +117,13 @@ func CompilePlanDB(sys *ast.RecursiveSystem, db *storage.Database, bound []bool,
 	if err != nil {
 		return nil, err
 	}
+	p.costBook(db, bound, pc)
+	return p, nil
+}
+
+// costBook compiles the plan's order book against db (none for a nil db)
+// and records the kind, cost and orders on the plan-compile span.
+func (p *Plan) costBook(db *storage.Database, bound []bool, pc *obs.Span) {
 	if db != nil {
 		p.compileBook(db, bound)
 		if p.book != nil {
@@ -126,7 +134,6 @@ func CompilePlanDB(sys *ast.RecursiveSystem, db *storage.Database, bound []bool,
 		}
 	}
 	pc.SetStr("kind", p.Kind.String())
-	return p, nil
 }
 
 // compileBook attaches the kind-appropriate order book: the rules the

@@ -156,3 +156,37 @@ func BenchmarkStableParallel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTCStreamFirstRow measures a limit-16 bound TC stream over a
+// frozen snapshot of 8k edges, from opening the iterator to its first row.
+// The identity exit p(X, Y) :- e(X, Y) reads the snapshot's e as E, so the
+// cost is independent of |e|; the materialized sub-benchmark runs the same
+// query over an unfrozen copy, which copies and indexes e first.
+func BenchmarkTCStreamFirstRow(b *testing.B) {
+	sys := mustSystem(b, "p(X, Y) :- e(X, Z), p(Z, Y).", "p(X, Y) :- e(X, Y).")
+	p, err := CompilePlan(sys)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := storage.NewDatabase()
+	if err := storage.GenRandomGraph(db, "e", 4000, 8000, 1); err != nil {
+		b.Fatal(err)
+	}
+	mat := db.Clone()
+	q, _ := parser.ParseQuery("?- p(n0, Y).")
+	for _, c := range []struct {
+		name string
+		db   *storage.Database
+	}{{"view", db.Snapshot().DB()}, {"materialized", mat}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				it := p.Stream(q, c.db, Opts{}, 16)
+				if !it.Next() {
+					b.Fatalf("no first row: %v", it.Err())
+				}
+				it.Close()
+			}
+		})
+	}
+}

@@ -18,7 +18,10 @@ import (
 //     against the frozen closure (bound queries), or semi-naive-compose the
 //     new edges against the frozen closure (all-free queries). The cached
 //     exit relation and visited set captured at compute time (tcAux) make
-//     the restart O(new reachable region), never O(graph).
+//     the restart O(new reachable region), never O(graph). An identity
+//     exit (p(X, Y) :- e(X, Y)) is a view of the snapshot's e: the new
+//     snapshot's e is the new E and the diff's e tuples are its delta, so
+//     nothing is cloned or re-indexed per entry.
 //   - Bounded plans re-run only the expansion terms that mention a changed
 //     predicate, inserting into a copy-on-write clone of the old answers.
 //   - Stable/generic parallel plans run a sequential semi-naive delta pass
@@ -66,12 +69,27 @@ type MaintResult struct {
 	Skipped int
 }
 
-// tcAux is the maintenance state of a TC-frontier entry: the materialized
-// exit relation and, for bound queries, the BFS visited set. Both are
-// immutable once the entry is published.
+// tcAux is the maintenance state of a TC-frontier entry: the exit relation
+// and, for bound queries, the BFS visited set. Both are immutable once the
+// entry is published.
 type tcAux struct {
-	exit    *storage.Relation
+	exit *storage.Relation
+	// view: exit is the snapshot's relation of the identity exit predicate
+	// (tcShape.exitPred), not a private copy. Maintenance then takes E from
+	// the new snapshot instead of extending a clone, and the result cache
+	// charges nothing for it.
+	view    bool
 	visited *storage.ValueSet // nil for the all-free query (answers = closure)
+}
+
+// auxBytes is the memory an entry's maintenance state holds beyond its
+// answers that the cache budget charges for: a private exit copy. A view
+// of the snapshot's relation belongs to the EDB and adds nothing.
+func auxBytes(aux any) int64 {
+	if a, ok := aux.(*tcAux); ok && a.exit != nil && !a.view {
+		return a.exit.SizeBytes()
+	}
+	return 0
 }
 
 // fixAux is the maintenance state of a fixpoint-plan entry: the
@@ -362,66 +380,21 @@ func maintainTC(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, oldRel *s
 	if aux == nil || aux.exit == nil {
 		return nil, nil, false
 	}
-	// Exit rules reading a changed predicate force an exit rematerialize;
-	// negation over a changed predicate breaks insert-only monotonicity.
-	exitChanged := false
-	for _, er := range sys.Exits {
-		for _, a := range er.Body {
-			if len(diff.Inserted[a.Pred]) == 0 {
-				continue
-			}
-			if a.Neg {
-				return nil, nil, false
-			}
-			exitChanged = true
-		}
+	var (
+		exit      *storage.Relation
+		exitDelta []storage.Tuple
+		ok        bool
+	)
+	if aux.view {
+		// E is the base relation: the new snapshot's header already holds
+		// the inserted tuples, and the diff lists exactly those.
+		exit, exitDelta = exitView(shape, db), diff.Inserted[shape.exitPred]
+		ok = exit != nil
+	} else {
+		exit, exitDelta, ok = maintainExit(sys, aux.exit, db, diff)
 	}
-	exit := aux.exit
-	var exitDelta []storage.Tuple
-	if exitChanged {
-		// Delta-evaluate only the affected exit rules: each positive
-		// occurrence of a changed predicate runs once restricted to the new
-		// tuples, the other occurrences reading the full (new) database —
-		// the semi-naive seeded join, here over the nonrecursive exit rules.
-		// Rematerializing the whole exit relation would make every write
-		// O(database), swamping the delta pass it feeds.
-		rules, err := compileRules(db.Syms, sys.Exits, nil)
-		if err != nil {
-			return nil, nil, false
-		}
-		ne := aux.exit.CowClone()
-		rels := DBRels(db)
-		for ri := range rules {
-			cr := &rules[ri]
-			buf := make(storage.Tuple, len(cr.slots))
-			s := newSeeder(cr.conj, rels, cr.conj.NewBinding(), func(b []storage.Value) bool {
-				for i, sl := range cr.slots {
-					if sl >= 0 {
-						buf[i] = b[sl]
-					} else {
-						buf[i] = cr.fixed[i]
-					}
-				}
-				if ne.Insert(buf) {
-					exitDelta = append(exitDelta, ne.At(ne.Len()-1))
-				}
-				return true
-			})
-			for bi, a := range cr.rule.Body {
-				ts := diff.Inserted[a.Pred]
-				if a.Neg || len(ts) == 0 {
-					continue
-				}
-				arity := a.Arity()
-				for _, t := range ts {
-					if len(t) == arity {
-						s.seed(bi, t)
-					}
-				}
-			}
-		}
-		ne.CompactIndexes()
-		exit = ne
+	if !ok {
+		return nil, nil, false
 	}
 	edges := db.Rel(shape.edgePred)
 	if edges != nil && edges.Arity() != 2 {
@@ -430,7 +403,7 @@ func maintainTC(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, oldRel *s
 	edgeDelta := diff.Inserted[shape.edgePred]
 	if len(edgeDelta) == 0 && len(exitDelta) == 0 {
 		// Nothing this entry reads grew: answers and state carry over.
-		return oldRel, &tcAux{exit: exit, visited: aux.visited}, true
+		return oldRel, &tcAux{exit: exit, view: aux.view, visited: aux.visited}, true
 	}
 
 	b0, b1 := !q.Atom.Args[0].IsVar(), !q.Atom.Args[1].IsVar()
@@ -518,7 +491,7 @@ func maintainTC(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, oldRel *s
 			return nil, nil, false
 		}
 		out.CompactIndexes()
-		return out, &tcAux{exit: exit}, true
+		return out, &tcAux{exit: exit, view: aux.view}, true
 	}
 
 	// Bound query: restart the BFS. The traversal direction and the roles
@@ -639,7 +612,75 @@ func maintainTC(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, oldRel *s
 		return nil, nil, false
 	}
 	out.CompactIndexes()
-	return out, &tcAux{exit: exit, visited: visited}, true
+	return out, &tcAux{exit: exit, view: aux.view, visited: visited}, true
+}
+
+// maintainExit carries a private (materialized) exit relation across the
+// diff. Exit rules reading a changed predicate are delta-evaluated into a
+// copy-on-write clone; it returns the new exit relation and its new
+// tuples, or ok=false when a changed predicate occurs negated.
+func maintainExit(sys *ast.RecursiveSystem, old *storage.Relation, db *storage.Database, diff *storage.SnapshotDiff) (*storage.Relation, []storage.Tuple, bool) {
+	// Exit rules reading a changed predicate force an exit rematerialize;
+	// negation over a changed predicate breaks insert-only monotonicity.
+	exitChanged := false
+	for _, er := range sys.Exits {
+		for _, a := range er.Body {
+			if len(diff.Inserted[a.Pred]) == 0 {
+				continue
+			}
+			if a.Neg {
+				return nil, nil, false
+			}
+			exitChanged = true
+		}
+	}
+	if !exitChanged {
+		return old, nil, true
+	}
+	// Delta-evaluate only the affected exit rules: each positive occurrence
+	// of a changed predicate runs once restricted to the new tuples, the
+	// other occurrences reading the full (new) database — the semi-naive
+	// seeded join, here over the nonrecursive exit rules. Rematerializing
+	// the whole exit relation would make every write O(database), swamping
+	// the delta pass it feeds.
+	rules, err := compileRules(db.Syms, sys.Exits, nil)
+	if err != nil {
+		return nil, nil, false
+	}
+	ne := old.CowClone()
+	var exitDelta []storage.Tuple
+	rels := DBRels(db)
+	for ri := range rules {
+		cr := &rules[ri]
+		buf := make(storage.Tuple, len(cr.slots))
+		s := newSeeder(cr.conj, rels, cr.conj.NewBinding(), func(b []storage.Value) bool {
+			for i, sl := range cr.slots {
+				if sl >= 0 {
+					buf[i] = b[sl]
+				} else {
+					buf[i] = cr.fixed[i]
+				}
+			}
+			if ne.Insert(buf) {
+				exitDelta = append(exitDelta, ne.At(ne.Len()-1))
+			}
+			return true
+		})
+		for bi, a := range cr.rule.Body {
+			ts := diff.Inserted[a.Pred]
+			if a.Neg || len(ts) == 0 {
+				continue
+			}
+			arity := a.Arity()
+			for _, t := range ts {
+				if len(t) == arity {
+					s.seed(bi, t)
+				}
+			}
+		}
+	}
+	ne.CompactIndexes()
+	return ne, exitDelta, true
 }
 
 // maintainBounded carries one bounded-union entry across an insert-only

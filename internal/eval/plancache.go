@@ -35,6 +35,11 @@ type Planner struct {
 	mu       sync.RWMutex
 	plans    map[planKey]*Plan
 	maxEpoch uint64
+	// bases holds each program's plan without an order book. The
+	// classification and rewrites in it read only the rules, so a miss for
+	// a new snapshot epoch (every write advances it) copies the base and
+	// re-costs only the book.
+	bases map[string]*Plan
 
 	hits, misses, invalidations       *obs.Counter
 	baseHits, baseMisses, baseInvalid int64
@@ -73,6 +78,7 @@ func NewPlanner() *Planner {
 func NewPlannerWith(reg *obs.Registry) *Planner {
 	return &Planner{
 		plans:         make(map[planKey]*Plan),
+		bases:         make(map[string]*Plan),
 		hits:          reg.Counter(mPlanHits),
 		misses:        reg.Counter(mPlanMisses),
 		invalidations: reg.Counter(mPlanInvalid),
@@ -143,7 +149,7 @@ func (pl *Planner) planFor(sys *ast.RecursiveSystem, q ast.Query, epoch uint64, 
 		return p, true, nil
 	}
 	sp.SetStr("result", "miss").End()
-	p, err := CompilePlanDB(sys, db, queryBound(q), opts)
+	p, err := pl.compile(sys, key.program, db, queryBound(q), opts)
 	pl.misses.Inc()
 	if err != nil {
 		return nil, false, err
@@ -160,6 +166,32 @@ func (pl *Planner) planFor(sys *ast.RecursiveSystem, q ast.Query, epoch uint64, 
 	}
 	pl.mu.Unlock()
 	return p, false, nil
+}
+
+// compile builds the plan for a cache miss: CompilePlanDB the first time
+// the program is seen, afterwards a copy of its base plan with the order
+// book re-costed against db under a plan-compile span (no classify span).
+func (pl *Planner) compile(sys *ast.RecursiveSystem, program string, db *storage.Database, bound []bool, opts Opts) (*Plan, error) {
+	pl.mu.RLock()
+	base := pl.bases[program]
+	pl.mu.RUnlock()
+	if base == nil {
+		p, err := CompilePlanDB(sys, db, bound, opts)
+		if err != nil {
+			return nil, err
+		}
+		b := *p
+		b.book = nil
+		pl.mu.Lock()
+		pl.bases[program] = &b
+		pl.mu.Unlock()
+		return p, nil
+	}
+	pc := opts.parent().Child("plan-compile")
+	defer pc.End()
+	p := *base
+	p.costBook(db, bound, pc)
+	return &p, nil
 }
 
 // queryBound flags the query's constant argument positions — the adorned
@@ -304,6 +336,7 @@ func (pl *Planner) Reset() {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.plans = make(map[planKey]*Plan)
+	pl.bases = make(map[string]*Plan)
 	pl.baseHits = pl.hits.Value()
 	pl.baseMisses = pl.misses.Value()
 	pl.baseInvalid = pl.invalidations.Value()

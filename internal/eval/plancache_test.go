@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -294,5 +295,36 @@ func TestPlannerRegistryCounters(t *testing.T) {
 	}
 	if got := reg.Counter("dl_plancache_misses_total").Value(); got != 4 {
 		t.Errorf("registry misses = %d, want 4 (cumulative: 1 + 2 epoch + 1 post-Reset)", got)
+	}
+}
+
+// TestPlannerClassifiesOncePerProgram: a miss for a new snapshot epoch
+// reuses the program's classification and rewrites (no classify span) and
+// re-costs only the order book against the new database.
+func TestPlannerClassifiesOncePerProgram(t *testing.T) {
+	sys := mustSystem(t, "p(X, Y) :- b(Y), c(X, Y1), p(X1, Y1).", "p(X, Y) :- e(X, Y).")
+	q, _ := parser.ParseQuery("?- p(n0, Y).")
+	pl := NewPlanner()
+	db := chainDB(t, 4)
+	storage.GenRandomRelation(db, "b", 1, 4, 3, 1)
+	storage.GenRandomRelation(db, "c", 2, 4, 5, 2)
+	first, _, err := pl.PlanForEpoch(sys, q, 1, db.Snapshot().DB(), Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	storage.GenRandomRelation(db, "c", 2, 8, 20, 3)
+	snap := db.Snapshot()
+	tr := obs.New("test")
+	p, hit, err := pl.PlanForEpoch(sys, q, snap.Epoch(), snap.DB(), Opts{Tracer: tr})
+	tr.Finish()
+	if err != nil || hit {
+		t.Fatalf("second epoch: hit=%v err=%v, want a miss", hit, err)
+	}
+	if got := renderSpans(tr.Root()); strings.Contains(got, "classify") || !strings.Contains(got, "plan-compile") {
+		t.Errorf("second-epoch miss spans:\n%s want plan-compile without classify", got)
+	}
+	if p.Kind != first.Kind || p.Class != first.Class || p.book == nil || p.book == first.book {
+		t.Errorf("second epoch plan %v/%s book %p, first %v/%s book %p: want the same plan with a new book",
+			p.Kind, p.Class, p.book, first.Kind, first.Class, first.book)
 	}
 }

@@ -16,7 +16,8 @@ import (
 // names exactly — so a cached answer can never be stale: a write advances
 // the epoch and the old entries simply stop being asked for, aging out of
 // the LRU. Entries are charged against a byte budget (Relation.SizeBytes
-// plus key overhead) and evicted least-recently-used.
+// of the answers and of a TC entry's private exit copy, plus key overhead)
+// and evicted least-recently-used.
 //
 // Writes no longer cold-start the cache: Maintain (maintain.go) carries the
 // previous epoch's entries forward to the new epoch by running a delta pass
@@ -326,7 +327,7 @@ func (c *ResultCache) insertLocked(e *resultEntry) {
 	if _, ok := c.entries[e.key]; ok {
 		return // a racing compute of the same key beat us; keep the first
 	}
-	e.size = e.rel.SizeBytes() + int64(len(e.key.program)+len(e.key.query)) + 96
+	e.size = e.rel.SizeBytes() + auxBytes(e.aux) + int64(len(e.key.program)+len(e.key.query)) + 96
 	c.entries[e.key] = c.lru.PushFront(e)
 	c.bytes += e.size
 	for c.bytes > c.max && c.lru.Len() > 1 {

@@ -27,6 +27,10 @@ type tcShape struct {
 	// rightLinear: the edge literal precedes the recursive literal
 	// (p = ∪ q^k ∘ E); otherwise left-linear (p = ∪ E ∘ q^k).
 	rightLinear bool
+	// exitPred is e when the system's only exit rule is the identity copy
+	// p(X, Y) :- e(X, Y), so that E is the base relation e itself (see
+	// exitView); empty for every other exit shape.
+	exitPred string
 }
 
 // detectTC matches the recursive rule against the two transitive-closure
@@ -57,20 +61,45 @@ func detectTC(sys *ast.RecursiveSystem) (*tcShape, bool) {
 	if z := edge.Args[1].Name; edge.Args[0].Name == hx &&
 		recAtom.Args[0].Name == z && recAtom.Args[1].Name == hy &&
 		z != hx && z != hy {
-		return &tcShape{edgePred: edge.Pred, rightLinear: true}, true
+		return &tcShape{edgePred: edge.Pred, rightLinear: true, exitPred: identityExit(sys)}, true
 	}
 	// Left-linear: p(hx, Z), q(Z, hy) with Z fresh.
 	if z := recAtom.Args[1].Name; recAtom.Args[0].Name == hx &&
 		edge.Args[0].Name == z && edge.Args[1].Name == hy &&
 		z != hx && z != hy {
-		return &tcShape{edgePred: edge.Pred, rightLinear: false}, true
+		return &tcShape{edgePred: edge.Pred, rightLinear: false, exitPred: identityExit(sys)}, true
 	}
 	return nil, false
 }
 
+// identityExit returns e when the system has exactly one exit rule and it
+// is p(X1, ..., Xn) :- e(X1, ..., Xn): one positive atom whose arguments
+// are the head's distinct variables in head order. Any other shape (a
+// swapped or repeated variable, a constant, a join, a second exit rule)
+// returns "".
+func identityExit(sys *ast.RecursiveSystem) string {
+	if len(sys.Exits) != 1 {
+		return ""
+	}
+	head, body := sys.Exits[0].Head, sys.Exits[0].Body
+	if len(body) != 1 || body[0].Neg || len(body[0].Args) != len(head.Args) {
+		return ""
+	}
+	seen := make(map[string]bool, len(head.Args))
+	for i, h := range head.Args {
+		if !h.IsVar() || seen[h.Name] || body[0].Args[i] != h {
+			return ""
+		}
+		seen[h.Name] = true
+	}
+	return body[0].Pred
+}
+
 // TCEval answers the query with the frontier kernel. The exit relation is
-// materialized from the system's exit rules; the edge relation is read from
-// the database (an absent edge relation leaves only the k = 0 stratum).
+// read from the database as is for an identity exit rule over a frozen
+// relation, and materialized from the system's exit rules otherwise; the
+// edge relation is read from the database (an absent edge relation leaves
+// only the k = 0 stratum).
 func TCEval(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storage.Database) (*storage.Relation, Stats, error) {
 	return TCEvalOpts(sys, shape, q, db, Opts{})
 }
@@ -82,49 +111,114 @@ func TCEvalOpts(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *stora
 	return rel, st, err
 }
 
-// tcEvalAux is TCEvalOpts additionally returning the kernel's maintenance
-// state: the materialized exit relation plus, for bound queries, the BFS
-// visited set. A nil aux (the early-return paths for constants the symbol
-// table has never seen) tells the maintenance pass to recompute instead.
-func tcEvalAux(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, *tcAux, Stats, error) {
+// tcInput is what both TC kernels read before their first round: the exit
+// relation E, the edge relation q and the query's constants.
+type tcInput struct {
+	exit *storage.Relation
+	// view: exit is the database's own frozen relation (an identity exit
+	// rule over a snapshot), not a private copy. It is shared with every
+	// other reader and its storage counters are the EDB's, not this
+	// evaluation's.
+	view   bool
+	edges  *storage.Relation
+	b0, b1 bool
+	c0, c1 storage.Value
+	// unknown: a bound constant the symbol table has never seen, so the
+	// answer set is empty.
+	unknown bool
+}
+
+// tcInputs is the shared prologue of tcEvalAux and tcStream. E is the
+// snapshot's relation itself when exitView allows it, and is materialized
+// from the exit rules otherwise; an absent edge relation leaves only the
+// k = 0 stratum.
+func tcInputs(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storage.Database) (tcInput, error) {
+	var in tcInput
 	if q.Atom.Pred != sys.Pred() || q.Atom.Arity() != 2 {
-		return nil, nil, Stats{}, fmt.Errorf("eval: query %v does not match predicate %s/2", q, sys.Pred())
+		return in, fmt.Errorf("eval: query %v does not match predicate %s/2", q, sys.Pred())
 	}
-	exitRel, err := MaterializeExit(sys, db)
+	if r := exitView(shape, db); r != nil {
+		in.exit, in.view = r, true
+	} else {
+		exit, err := MaterializeExit(sys, db)
+		if err != nil {
+			return in, err
+		}
+		in.exit = exit
+	}
+	in.edges = db.Rel(shape.edgePred)
+	if in.edges != nil && in.edges.Arity() != 2 {
+		return in, fmt.Errorf("eval: edge relation %s has arity %d, want 2", shape.edgePred, in.edges.Arity())
+	}
+	in.b0, in.b1 = !q.Atom.Args[0].IsVar(), !q.Atom.Args[1].IsVar()
+	if in.b0 {
+		v, ok := db.Syms.Lookup(q.Atom.Args[0].Name)
+		in.c0, in.unknown = v, !ok
+	}
+	if in.b1 {
+		v, ok := db.Syms.Lookup(q.Atom.Args[1].Name)
+		in.c1, in.unknown = v, in.unknown || !ok
+	}
+	return in, nil
+}
+
+// exitView returns the database's relation of the system's identity exit
+// predicate when it can serve as E unchanged: present, binary and frozen
+// (a snapshot relation, so already indexed and immutable). Nil otherwise:
+// the caller materializes E, which for an unfrozen database also keeps the
+// kernel from building indexes on the caller's relation.
+func exitView(shape *tcShape, db *storage.Database) *storage.Relation {
+	if shape.exitPred == "" {
+		return nil
+	}
+	r := db.Rel(shape.exitPred)
+	if r == nil || r.Arity() != 2 || !r.Frozen() {
+		return nil
+	}
+	return r
+}
+
+// private returns the exit relation when this evaluation built it, nil when
+// it is a view of the database (whose counters must not be re-counted).
+func (in *tcInput) private() *storage.Relation {
+	if in.view {
+		return nil
+	}
+	return in.exit
+}
+
+// exitMode is the fixpoint span's exit attribute: which path built E.
+func (in *tcInput) exitMode() string {
+	if in.view {
+		return "view"
+	}
+	return "materialized"
+}
+
+// tcEvalAux is TCEvalOpts additionally returning the kernel's maintenance
+// state: the exit relation plus, for bound queries, the BFS visited set. A
+// nil aux (the early-return paths for constants the symbol table has never
+// seen) tells the maintenance pass to recompute instead.
+func tcEvalAux(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, *tcAux, Stats, error) {
+	in, err := tcInputs(sys, shape, q, db)
 	if err != nil {
 		return nil, nil, Stats{}, err
 	}
-	edges := db.Rel(shape.edgePred)
-	if edges != nil && edges.Arity() != 2 {
-		return nil, nil, Stats{}, fmt.Errorf("eval: edge relation %s has arity %d, want 2", shape.edgePred, edges.Arity())
-	}
+	exitRel, edges := in.exit, in.edges
+	b0, b1, c0, c1 := in.b0, in.b1, in.c0, in.c1
 	answers := storage.NewRelation(2)
-	aux := &tcAux{exit: exitRel}
+	aux := &tcAux{exit: exitRel, view: in.view}
 	var st Stats
-	fix := opts.parent().Child("fixpoint").SetStr("engine", "tc-frontier")
+	fix := opts.parent().Child("fixpoint").SetStr("engine", "tc-frontier").SetStr("exit", in.exitMode())
 	defer fix.End()
 	sink := newRoundSink(&st, opts, fix)
 	defer func() {
 		fix.SetInt("rounds", int64(st.Rounds)).SetInt("derived", int64(st.Derived))
 		sink.stratumDone(st.Rounds)
-		flushRels(opts, &st, answers, exitRel)
+		flushRels(opts, &st, answers, in.private())
 	}()
-
-	var c0, c1 storage.Value
-	b0, b1 := !q.Atom.Args[0].IsVar(), !q.Atom.Args[1].IsVar()
-	if b0 {
-		v, ok := db.Syms.Lookup(q.Atom.Args[0].Name)
-		if !ok {
-			return answers, nil, st, nil
-		}
-		c0 = v
-	}
-	if b1 {
-		v, ok := db.Syms.Lookup(q.Atom.Args[1].Name)
-		if !ok {
-			return answers, nil, st, nil
-		}
-		c1 = v
+	if in.unknown {
+		return answers, nil, st, nil
 	}
 
 	buf := make(storage.Tuple, 2)

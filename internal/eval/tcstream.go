@@ -28,44 +28,25 @@ import (
 // callers treat that as a clean early end.
 func tcStream(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storage.Database, opts Opts, emit func(storage.Tuple) bool) (Stats, error) {
 	var st Stats
-	if q.Atom.Pred != sys.Pred() || q.Atom.Arity() != 2 {
-		return st, fmt.Errorf("eval: query %v does not match predicate %s/2", q, sys.Pred())
-	}
-	exitRel, err := MaterializeExit(sys, db)
+	in, err := tcInputs(sys, shape, q, db)
 	if err != nil {
 		return st, err
 	}
-	edges := db.Rel(shape.edgePred)
-	if edges != nil && edges.Arity() != 2 {
-		return st, fmt.Errorf("eval: edge relation %s has arity %d, want 2", shape.edgePred, edges.Arity())
-	}
-	fix := opts.parent().Child("fixpoint").SetStr("engine", "tc-frontier").SetStr("mode", "stream")
+	exitRel, edges := in.exit, in.edges
+	b0, b1, c0, c1 := in.b0, in.b1, in.c0, in.c1
+	fix := opts.parent().Child("fixpoint").SetStr("engine", "tc-frontier").SetStr("mode", "stream").SetStr("exit", in.exitMode())
 	defer fix.End()
 	sink := newRoundSink(&st, opts, fix)
 	// The all-free cases materialize a dedup relation; its write-path stats
-	// flush with the exit relation's in the single deferred flush.
+	// flush with a private exit relation's in the single deferred flush.
 	var answers *storage.Relation
 	defer func() {
 		fix.SetInt("rounds", int64(st.Rounds)).SetInt("derived", int64(st.Derived))
 		sink.stratumDone(st.Rounds)
-		flushRels(opts, &st, exitRel, answers)
+		flushRels(opts, &st, in.private(), answers)
 	}()
-
-	var c0, c1 storage.Value
-	b0, b1 := !q.Atom.Args[0].IsVar(), !q.Atom.Args[1].IsVar()
-	if b0 {
-		v, ok := db.Syms.Lookup(q.Atom.Args[0].Name)
-		if !ok {
-			return st, nil
-		}
-		c0 = v
-	}
-	if b1 {
-		v, ok := db.Syms.Lookup(q.Atom.Args[1].Name)
-		if !ok {
-			return st, nil
-		}
-		c1 = v
+	if in.unknown {
+		return st, nil
 	}
 
 	if shape.rightLinear {

@@ -479,12 +479,15 @@ func (s *Server) Query(ctx context.Context, qs string, tracer *obs.Tracer) (*Que
 	res := s.newResult(q, snap, st, cached, t0)
 	res.Answers = make([][]string, 0, rel.Len())
 	res.Count = rel.Len()
+	// One backing array for every row: a warm cache hit is mostly this
+	// decode, and one allocation per row would dominate it.
+	cells := make([]string, 0, rel.Len()*rel.Arity())
 	rel.Each(func(t storage.Tuple) bool {
-		row := make([]string, len(t))
-		for i, v := range t {
-			row[i] = syms.Name(v)
+		for _, v := range t {
+			cells = append(cells, syms.Name(v))
 		}
-		res.Answers = append(res.Answers, row)
+		n := len(cells)
+		res.Answers = append(res.Answers, cells[n-len(t):n:n])
 		return true
 	})
 	return res, nil

@@ -513,3 +513,118 @@ func TestServerShardsInResult(t *testing.T) {
 		t.Errorf("sharded closure count = %d, want 6", res.Count)
 	}
 }
+
+// TestServerTCUnderWrites runs materialized and streamed TC queries while
+// LoadFacts writes land (run under -race by `make race`). The identity
+// exit p(X, Y) :- e(X, Y) makes every kernel read the snapshot's e as its
+// exit relation, and every maintained entry hold it; each answer must
+// still be exact for the epoch it reports. The single writer grows the
+// chain n0 → n1 → ... by one edge per write, so an epoch with m edges has
+// m answers for p(n0, Y), m(m+1)/2 for p(X, Y), and j for p(X, nj) once
+// nj exists.
+func TestServerTCUnderWrites(t *testing.T) {
+	s, err := New("p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).\ne(n0, n1).", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writes = 30
+	edgesAt := map[uint64]int{s.Snapshot().Epoch(): 1}
+	type answer struct {
+		query      string
+		limit      int
+		epoch      uint64
+		count      int
+		maintained bool
+	}
+	want := func(a answer, m int) int {
+		n := 0
+		switch a.query {
+		case "?- p(n0, Y).":
+			n = m
+		case "?- p(X, Y).":
+			n = m * (m + 1) / 2
+		case "?- p(X, n5).":
+			if m >= 5 {
+				n = 5
+			}
+		case "?- p(n1, Y).":
+			n = m - 1
+		}
+		if a.limit > 0 && n > a.limit {
+			n = a.limit
+		}
+		return n
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	// The writer re-reads the cached keys after every write, so each write
+	// has entries of the previous epoch to maintain.
+	var written []answer
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= writes; i++ {
+			epoch, err := s.LoadFacts(fmt.Sprintf("e(n%d, n%d).", i, i+1))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			edgesAt[epoch] = i + 1
+			for _, qs := range []string{"?- p(n0, Y).", "?- p(X, Y)."} {
+				res, err := s.Query(context.Background(), qs, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				written = append(written, answer{qs, 0, res.Epoch, res.Count, res.Maintained})
+			}
+		}
+	}()
+	const readers = 3
+	results := make([][]answer, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < writes; i++ {
+				for _, qs := range []string{"?- p(n0, Y).", "?- p(X, Y)."} {
+					res, err := s.Query(context.Background(), qs, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					results[r] = append(results[r], answer{qs, 0, res.Epoch, res.Count, res.Maintained})
+				}
+				for _, sq := range []struct {
+					q     string
+					limit int
+				}{{"?- p(X, n5).", 0}, {"?- p(n1, Y).", 4}, {"?- p(X, Y).", 8}} {
+					res, err := s.StreamQuery(context.Background(), sq.q, sq.limit, nil, func([]string) bool { return true })
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					results[r] = append(results[r], answer{sq.q, sq.limit, res.Epoch, res.Count, false})
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	maintained := 0
+	for _, rs := range append(results, written) {
+		for _, a := range rs {
+			m, ok := edgesAt[a.epoch]
+			if !ok {
+				t.Fatalf("%s answered at unknown epoch %d", a.query, a.epoch)
+			}
+			if w := want(a, m); a.count != w {
+				t.Errorf("%s limit %d at epoch %d (%d edges): %d answers, want %d", a.query, a.limit, a.epoch, m, a.count, w)
+			}
+			if a.maintained {
+				maintained++
+			}
+		}
+	}
+	if maintained == 0 {
+		t.Error("no read was answered from a maintained entry")
+	}
+}

@@ -104,6 +104,48 @@ func TestSnapshotCOWSharesArena(t *testing.T) {
 	}
 }
 
+// TestCOWCloneFoldsLargeOverflow: a post-snapshot write clones the column
+// indexes. A small overflow is copied as is; one past cloneRebuildExtra is
+// folded into a fresh CSR build, and every column lookup stays exact.
+func TestCOWCloneFoldsLargeOverflow(t *testing.T) {
+	for _, extra := range []int{10, 200} {
+		db := NewDatabase()
+		for i := 0; i < 1000; i++ {
+			if _, err := db.Insert("a", fmt.Sprintf("n%d", i), fmt.Sprintf("m%d", i%37)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.Snapshot()
+		for i := 0; i < extra; i++ {
+			if _, err := db.Insert("a", fmt.Sprintf("x%d", i), fmt.Sprintf("m%d", i%37)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := db.Snapshot().Rel("a")
+		if _, err := db.Insert("a", "last", "m0"); err != nil {
+			t.Fatal(err)
+		}
+		after := db.Rel("a")
+		folded := extra > cloneRebuildExtra(before.colIdx[1].built)
+		if got := after.colIdx[1].nextra == 1; got != folded {
+			t.Errorf("overflow %d: clone overflow %d, want folded=%v", extra, after.colIdx[1].nextra, folded)
+		}
+		for i := 0; i < 37; i++ {
+			v, _ := db.Syms.Lookup(fmt.Sprintf("m%d", i))
+			want := 0
+			before.EachCol(1, v, func(Tuple) bool { want++; return true })
+			if i == 0 {
+				want++
+			}
+			got := 0
+			after.EachCol(1, v, func(Tuple) bool { got++; return true })
+			if got != want {
+				t.Errorf("overflow %d: m%d has %d tuples after the clone, want %d", extra, i, got, want)
+			}
+		}
+	}
+}
+
 // TestFrozenRelationWritePanics is the Reset regression test: recycling a
 // frozen relation's arena blocks while snapshot readers alias them would
 // corrupt those readers, so Reset (and Insert) on a frozen header must

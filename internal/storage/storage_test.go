@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -28,6 +29,40 @@ func TestSymbolsIntern(t *testing.T) {
 	}
 	if s.Name(Value(99)) == "" {
 		t.Error("out-of-range Name must return a placeholder")
+	}
+}
+
+// TestSymbolsNameDuringIntern: Name reads without the table's lock while a
+// writer interns (run under -race by `make race`). Every value a reader
+// got from Lookup must decode to its name; a value past the published
+// length decodes to the placeholder, never to a wrong or torn name.
+func TestSymbolsNameDuringIntern(t *testing.T) {
+	s := NewSymbols()
+	name := func(i int) string { return "c" + strconv.Itoa(i) }
+	const n = 4000
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			s.Intern(name(i))
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if v, ok := s.Lookup(name(i)); ok && s.Name(v) != name(i) {
+					t.Errorf("Name(%d) = %q, want %q", v, s.Name(v), name(i))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := s.Name(Value(n)); got != "?4000" {
+		t.Errorf("Name past the table = %q, want the placeholder", got)
 	}
 }
 
